@@ -3,7 +3,9 @@
 Matches detections to ground-truth boxes greedily by IoU (highest
 score first) and accumulates true/false positives and misses; a
 threshold sweep then finds the f_score-maximising cut-off ``d_t`` the
-paper uses per (algorithm, training video) pair (Section VI-A).
+paper uses per (algorithm, training video) pair (Section VI-A).  The
+sweep matches each frame once and reads every threshold's counts off
+that single match.
 """
 
 from __future__ import annotations
@@ -54,6 +56,35 @@ def f_score(recall: float, precision: float) -> float:
     return 2.0 * recall * precision / (recall + precision)
 
 
+def _greedy_match(
+    detections: list[Detection],
+    ground_truth: list[BoundingBox],
+    iou_threshold: float,
+) -> list[tuple[float, bool]]:
+    """Greedy IoU matching of one frame's detections to its truth boxes.
+
+    Detections are taken in decreasing score order (a stable sort, so
+    score ties keep their input order); each claims the still-unclaimed
+    truth box it overlaps most, if that IoU reaches ``iou_threshold``.
+    Returns ``(score, is_true_positive)`` per detection in that order.
+    """
+    available = list(range(len(ground_truth)))
+    matched = []
+    for det in sorted(detections, key=lambda d: -d.score):
+        best_iou = 0.0
+        best_idx = None
+        for idx in available:
+            iou = det.bbox.iou(ground_truth[idx])
+            if iou > best_iou:
+                best_iou = iou
+                best_idx = idx
+        is_tp = best_idx is not None and best_iou >= iou_threshold
+        if is_tp:
+            available.remove(best_idx)
+        matched.append((det.score, is_tp))
+    return matched
+
+
 def match_detections(
     detections: list[Detection],
     ground_truth: list[BoundingBox],
@@ -64,23 +95,11 @@ def match_detections(
     Each ground-truth box absorbs at most one detection; detections
     are considered in decreasing score order.
     """
-    counts = DetectionCounts()
-    available = list(range(len(ground_truth)))
-    for det in sorted(detections, key=lambda d: -d.score):
-        best_iou = 0.0
-        best_idx = None
-        for idx in available:
-            iou = det.bbox.iou(ground_truth[idx])
-            if iou > best_iou:
-                best_iou = iou
-                best_idx = idx
-        if best_idx is not None and best_iou >= iou_threshold:
-            counts.tp += 1
-            available.remove(best_idx)
-        else:
-            counts.fp += 1
-    counts.fn = len(available)
-    return counts
+    matched = _greedy_match(detections, ground_truth, iou_threshold)
+    tp = sum(is_tp for _, is_tp in matched)
+    return DetectionCounts(
+        tp=tp, fp=len(detections) - tp, fn=len(ground_truth) - tp
+    )
 
 
 def precision_recall(
@@ -109,20 +128,38 @@ def sweep_thresholds(
     """Evaluate counts across a range of score thresholds.
 
     The candidate thresholds span the observed score range; returns
-    (threshold, counts) pairs in ascending threshold order.
+    (threshold, counts) pairs in ascending threshold order, equal to
+    :func:`precision_recall` at each threshold.
+
+    Each frame is matched once, over all its detections.  Matching
+    runs in decreasing score order, so the detections a threshold
+    keeps (``score >= t``) are a prefix of that order, and greedy
+    matching of a prefix is the prefix of the full matching: every
+    kept detection has the same true/false-positive outcome as in the
+    full match.  A threshold's TP count is therefore the number of
+    true positives scoring ``>= t``, FP the rest of the kept
+    detections and FN the truth boxes left over.
     """
-    scores = np.array(
-        [d.score for detections, _ in frames for d in detections]
-    )
-    if scores.size == 0:
+    matched = [
+        pair
+        for detections, truths in frames
+        for pair in _greedy_match(detections, truths, iou_threshold)
+    ]
+    if not matched:
         return []
-    lo, hi = float(scores.min()), float(scores.max())
+    scores = np.sort([score for score, _ in matched])
+    tp_scores = np.sort([score for score, is_tp in matched if is_tp])
+    lo, hi = float(scores[0]), float(scores[-1])
     if hi - lo < 1e-12:
         thresholds = [lo]
     else:
         thresholds = list(np.linspace(lo, hi, num_steps))
+    kept = scores.size - np.searchsorted(scores, thresholds)
+    tps = tp_scores.size - np.searchsorted(tp_scores, thresholds)
+    num_truths = sum(len(truths) for _, truths in frames)
     return [
-        (t, precision_recall(frames, t, iou_threshold)) for t in thresholds
+        (t, DetectionCounts(tp=tp, fp=k - tp, fn=num_truths - tp))
+        for t, k, tp in zip(thresholds, kept.tolist(), tps.tolist())
     ]
 
 

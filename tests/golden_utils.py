@@ -10,6 +10,10 @@ configurations through the unified deployment engine and compare
 field-by-field — floats included, since JSON round-trips Python
 doubles exactly.
 
+``training_profiles.json`` pins dataset #1's offline-training output
+(each profile's ``d_t``, precision, recall and f_score), captured
+before the one-pass threshold sweep replaced the per-threshold one.
+
 Regenerate (only when a deliberate behaviour change is made)::
 
     PYTHONPATH=src python tests/golden_utils.py
@@ -149,6 +153,33 @@ def collect_chaos_goldens(runner) -> dict:
     return out
 
 
+def training_profile_fingerprint(library) -> dict:
+    """Every profile's threshold-sweep outputs, per training item and
+    algorithm: the cut-off ``d_t`` and its precision, recall and
+    f_score."""
+    return {
+        name: {
+            algorithm: {
+                "threshold": profile.threshold,
+                "precision": profile.precision,
+                "recall": profile.recall,
+                "f_score": profile.f_score,
+            }
+            for algorithm, profile in sorted(
+                library.get(name).profiles.items()
+            )
+        }
+        for name in sorted(library.names)
+    }
+
+
+def collect_training_profile_goldens() -> dict:
+    """Dataset #1's profiles from the engine-owned shared context."""
+    from repro.engine.context import shared_context
+
+    return training_profile_fingerprint(shared_context(1).library)
+
+
 def load_golden(name: str) -> dict:
     with open(GOLDEN_DIR / f"{name}.json") as fh:
         return json.load(fh)
@@ -160,6 +191,7 @@ def capture() -> None:
     for name, data in (
         ("run_results", collect_run_goldens(runner)),
         ("chaos_results", collect_chaos_goldens(runner)),
+        ("training_profiles", collect_training_profile_goldens()),
     ):
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -1,9 +1,13 @@
 """Tests for detection metrics: matching, precision/recall, sweeps."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.base import BoundingBox, Detection
 from repro.detection.metrics import (
+    DEFAULT_IOU_THRESHOLD,
     DetectionCounts,
     best_threshold,
     f_score,
@@ -129,3 +133,185 @@ class TestSweeps:
 
     def test_sweep_empty_detections(self):
         assert sweep_thresholds([([], [BoundingBox(0, 0, 1, 1)])]) == []
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-threshold sweep the one-pass sweep must reproduce.
+# ----------------------------------------------------------------------
+def reference_match(detections, ground_truth, iou_threshold):
+    """Greedy IoU matching, highest score first, one frame at a time."""
+    counts = DetectionCounts()
+    available = list(range(len(ground_truth)))
+    for d in sorted(detections, key=lambda d: -d.score):
+        best_iou = 0.0
+        best_idx = None
+        for idx in available:
+            iou = d.bbox.iou(ground_truth[idx])
+            if iou > best_iou:
+                best_iou = iou
+                best_idx = idx
+        if best_idx is not None and best_iou >= iou_threshold:
+            counts.tp += 1
+            available.remove(best_idx)
+        else:
+            counts.fp += 1
+    counts.fn = len(available)
+    return counts
+
+
+def reference_sweep(frames, num_steps, iou_threshold):
+    """Re-match every frame from scratch at each ``linspace`` threshold."""
+    scores = np.array([d.score for dets, _ in frames for d in dets])
+    if scores.size == 0:
+        return []
+    lo, hi = float(scores.min()), float(scores.max())
+    if hi - lo < 1e-12:
+        thresholds = [lo]
+    else:
+        thresholds = list(np.linspace(lo, hi, num_steps))
+    sweep = []
+    for t in thresholds:
+        total = DetectionCounts()
+        for dets, truths in frames:
+            kept = [d for d in dets if d.score >= t]
+            total = total.add(reference_match(kept, truths, iou_threshold))
+        sweep.append((t, total))
+    return sweep
+
+
+def as_rows(sweep):
+    return [(t, c.tp, c.fp, c.fn) for t, c in sweep]
+
+
+# Small integer boxes on a small canvas: overlaps, exact duplicates,
+# ties in IoU and zero-area boxes all come up often.
+boxes = st.builds(
+    BoundingBox,
+    x=st.integers(0, 12),
+    y=st.integers(0, 12),
+    w=st.integers(0, 8),
+    h=st.integers(0, 8),
+)
+# Scores from a coarse grid collide often and land exactly on the
+# ``linspace`` thresholds; free floats cover the general case.
+scores = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+frame_lists = st.lists(
+    st.tuples(
+        st.lists(st.tuples(boxes, scores), max_size=6),
+        st.lists(boxes, max_size=4),
+    ),
+    max_size=5,
+).map(lambda raw: [
+    ([det(b.x, b.y, b.w, b.h, score) for b, score in dets], truths)
+    for dets, truths in raw
+])
+iou_thresholds = st.sampled_from([DEFAULT_IOU_THRESHOLD, 0.0, 0.5, 1.0])
+
+
+class TestOnePassSweepOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(frame_lists, st.sampled_from([1, 2, 5, 9, 40]), iou_thresholds)
+    def test_matches_per_threshold_sweep(self, frames, num_steps, iou_t):
+        got = as_rows(sweep_thresholds(frames, num_steps, iou_t))
+        assert got == as_rows(reference_sweep(frames, num_steps, iou_t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_lists, iou_thresholds)
+    def test_match_detections_matches_reference(self, frames, iou_t):
+        for dets, truths in frames:
+            got = match_detections(dets, truths, iou_t)
+            want = reference_match(dets, truths, iou_t)
+            assert (got.tp, got.fp, got.fn) == (want.tp, want.fp, want.fn)
+
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            pytest.param(
+                [([det(0, 0, 10, 10, 0.5), det(0, 0, 10, 10, 0.5),
+                   det(30, 0, 10, 10, 0.5)],
+                  [BoundingBox(0, 0, 10, 10)])],
+                id="single-score-range",
+            ),
+            pytest.param(
+                [([det(0, 0, 10, 10, 0.0), det(1, 0, 10, 10, 0.5),
+                   det(30, 0, 10, 10, 0.5), det(2, 0, 10, 10, 1.0)],
+                  [BoundingBox(0, 0, 10, 10), BoundingBox(30, 0, 10, 10)])],
+                id="duplicate-scores-on-thresholds",
+            ),
+            pytest.param(
+                # The top detection sits halfway between two truth
+                # boxes (IoU 2/3 with both) and claims the first; the
+                # second detection only overlaps the other one enough.
+                [([det(2, 0, 10, 10, 0.9), det(8, 0, 10, 10, 0.3),
+                   det(0, 0, 10, 10, 0.1)],
+                  [BoundingBox(0, 0, 10, 10), BoundingBox(4, 0, 10, 10)])],
+                id="equal-iou-to-two-truths",
+            ),
+            pytest.param(
+                [([det(0, 0, 0, 0, 0.9), det(0, 0, 10, 0, 0.4),
+                   det(0, 0, 10, 10, 0.2)],
+                  [BoundingBox(0, 0, 0, 0), BoundingBox(0, 0, 10, 10)])],
+                id="zero-area-boxes",
+            ),
+            pytest.param(
+                [([], [BoundingBox(0, 0, 10, 10)]),
+                 ([det(0, 0, 10, 10, 0.7), det(50, 0, 10, 10, 0.2)], []),
+                 ([det(0, 0, 10, 10, 0.4)], [BoundingBox(1, 1, 10, 10)])],
+                id="frames-without-detections-or-truths",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("num_steps", [1, 3, 5, 40])
+    def test_edge_cases(self, frames, num_steps):
+        got = as_rows(sweep_thresholds(frames, num_steps))
+        assert got == as_rows(
+            reference_sweep(frames, num_steps, DEFAULT_IOU_THRESHOLD)
+        )
+        assert got
+
+
+class TestSweepIouFloor:
+    """The sweep matches each frame once, whatever the step count.
+
+    Counts ``BoundingBox.iou`` calls instead of timing anything, so a
+    return to per-threshold re-matching fails deterministically.
+    """
+
+    def _frames(self):
+        rng = np.random.default_rng(3)
+        frames = []
+        for _ in range(12):
+            truths = [
+                BoundingBox(*rng.integers(0, 40, 2), *rng.integers(4, 12, 2))
+                for _ in range(rng.integers(0, 5))
+            ]
+            dets = [
+                det(*rng.integers(0, 40, 2), *rng.integers(4, 12, 2),
+                    float(rng.normal()))
+                for _ in range(rng.integers(0, 8))
+            ]
+            frames.append((dets, truths))
+        return frames
+
+    def _iou_calls(self, monkeypatch, frames, num_steps):
+        calls = []
+        original = BoundingBox.iou
+
+        def counting(self, other):
+            calls.append(None)
+            return original(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BoundingBox, "iou", counting)
+            sweep_thresholds(frames, num_steps=num_steps)
+        return len(calls)
+
+    def test_iou_calls_independent_of_num_steps(self, monkeypatch):
+        frames = self._frames()
+        coarse = self._iou_calls(monkeypatch, frames, 10)
+        fine = self._iou_calls(monkeypatch, frames, 1000)
+        bound = sum(len(dets) * len(truths) for dets, truths in frames)
+        assert 0 < coarse == fine <= bound

@@ -154,3 +154,15 @@ class TestProfiles:
         # Dataset #2: ACF > LSVM > C4 > HOG.
         assert f("ACF", "indoor_cluttered") > f("LSVM", "indoor_cluttered")
         assert f("C4", "indoor_cluttered") > f("HOG", "indoor_cluttered")
+
+
+def test_ndtri_is_the_standard_normal_quantile():
+    """Calibration inverts recall with ``scipy.special.ndtri`` instead of
+    importing all of ``scipy.stats``; the two agree bit for bit."""
+    from scipy import stats
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(0)
+    q = np.concatenate([np.linspace(0.0, 1.0, 1001), rng.random(10_000)])
+    assert {0.0, 0.5, 1.0} <= set(q.tolist())
+    np.testing.assert_array_equal(ndtri(q), stats.norm.ppf(q))

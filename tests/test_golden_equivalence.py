@@ -22,6 +22,7 @@ from tests.golden_utils import (
     GOLDEN_CHAOS_CONFIGS,
     chaos_result_fingerprint,
     collect_chaos_goldens,
+    collect_training_profile_goldens,
     golden_run_configs,
     load_golden,
     make_golden_runner,
@@ -95,3 +96,15 @@ class TestChaosGoldens:
         fingerprint = chaos_result_fingerprint(result)
         missing = set(vars(result)) - set(fingerprint) - {"spec"}
         assert not missing, f"fields not pinned by the golden: {missing}"
+
+
+class TestTrainingProfileGolden:
+    def test_matches_golden(self):
+        """Offline training's ``d_t`` and its precision, recall and
+        f_score per (training item, algorithm) are bit-identical, so a
+        threshold drift cannot hide behind an unchanged selection."""
+        fingerprint = collect_training_profile_goldens()
+        golden = load_golden("training_profiles")
+        assert len(golden) == 4
+        assert all(len(profiles) == 4 for profiles in golden.values())
+        assert normalize(fingerprint) == golden
