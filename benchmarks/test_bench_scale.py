@@ -13,6 +13,10 @@ workload recorded in ``BENCH_scale.json``.  Two kinds of guard:
 - An absolute floor in rounds/sec, overridable via the
   ``SCALE_RPS_FLOOR`` environment variable, set well below the numbers
   pinned in ``BENCH_scale.json`` but above the pre-batching seed.
+- A re-id grouping ratio on real 64-camera tiled-fleet frames:
+  grid-indexed ``group`` against ``group_reference``, interleaved, must
+  beat ``GROUP_MIN_SPEEDUP`` — a bar a linear scan over every group in
+  the frame cannot clear.
 
 Regenerate BENCH_scale.json with the recipe in EXPERIMENTS.md.
 """
@@ -25,11 +29,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks._bench_util import assert_floor, env_float, timed
+from benchmarks._bench_util import (
+    assert_floor,
+    env_float,
+    interleaved_best,
+    timed,
+)
 from repro.datasets.synthetic import make_scaled_dataset
 from repro.detection.base import Detection
 from repro.engine.context import DeploymentContext
 from repro.engine.core import DeploymentEngine
+from repro.engine.fleet import fleet_context
 from repro.engine.executor import DetectionExecutor, make_executor
 from repro.reid.matcher import CrossCameraMatcher
 
@@ -40,6 +50,11 @@ START, END = 1000, 1500
 SCALE_MIN_SPEEDUP = env_float("SCALE_MIN_SPEEDUP", 3.0)
 # Seed throughput at 16 cameras was ~2.2 rounds/sec.
 SCALE_RPS_FLOOR = env_float("SCALE_RPS_FLOOR", 2.5)
+FLEET_CAMERAS = 64
+GROUP_FRAMES = 100
+# On 2 CPUs the grid-indexed group measured ~55-65x group_reference
+# on these frames; the linear scan it replaced measured ~15-19x.
+GROUP_MIN_SPEEDUP = env_float("GROUP_MIN_SPEEDUP", 30.0)
 
 
 class ReferencePathExecutor(DetectionExecutor):
@@ -138,4 +153,58 @@ def test_bench_scale_json_records_acceptance():
     assert entry["serial_speedup_vs_seed"] >= 5.0
     assert after / seed == pytest.approx(
         entry["serial_speedup_vs_seed"], rel=0.01
+    )
+
+
+@pytest.fixture(scope="module")
+def fleet_frames():
+    """The matcher and detection lists of real 64-camera ``full``
+    frames (those spanning over half the fleet's cameras), recorded
+    from a tiled-fleet run."""
+    context = fleet_context(FLEET_CAMERAS)
+    recorded: list[list[Detection]] = []
+    group = CrossCameraMatcher.group
+
+    def record(matcher, detections):
+        recorded.append(list(detections))
+        return group(matcher, detections)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CrossCameraMatcher, "group", record)
+        _run_once(context)
+    frames = [
+        detections
+        for detections in recorded
+        if len({d.camera_id for d in detections}) > FLEET_CAMERAS // 2
+    ][:GROUP_FRAMES]
+    assert len(frames) == GROUP_FRAMES
+    return context.matcher, frames
+
+
+def test_grid_group_beats_reference_at_fleet_scale(fleet_frames):
+    """Interleaved min-of-N: ``group`` vs ``group_reference`` on the
+    same frames.  The membership check first warms the memoised
+    projections and colour distances, as selection's repeated
+    re-grouping does, so the ratio isolates the gating scan."""
+    matcher, frames = fleet_frames
+    for detections in frames:
+        fast = matcher.group(detections)
+        reference = matcher.group_reference(detections)
+        assert [[id(d) for d in g.detections] for g in fast] == [
+            [id(d) for d in g.detections] for g in reference
+        ]
+
+    def timed_pass(group) -> float:
+        return timed(lambda: [group(d) for d in frames])[0]
+
+    best_fast, best_ref = interleaved_best(
+        3,
+        lambda: timed_pass(matcher.group),
+        lambda: timed_pass(matcher.group_reference),
+    )
+    speedup = best_ref / best_fast
+    assert speedup >= GROUP_MIN_SPEEDUP, (
+        f"group is only {speedup:.1f}x group_reference on {len(frames)} "
+        f"{FLEET_CAMERAS}-camera frames (need >= {GROUP_MIN_SPEEDUP}x, "
+        f"GROUP_MIN_SPEEDUP); ref={best_ref:.3f}s fast={best_fast:.3f}s"
     )

@@ -230,6 +230,3 @@ class SimulationRunner:
         meter: EnergyMeter,
     ) -> AssessmentData:
         return self._engine.collect_assessment(records, budget, meter)
-
-    def _all_best_assignment(self, budget: float | None) -> dict[str, str]:
-        return self._engine.all_best_assignment(budget)

@@ -93,10 +93,6 @@ class CameraPlan:
     budget: float
     communication_cost: float = 0.0
 
-    @property
-    def best_profile(self):
-        return self.item.profile(self.best_algorithm)
-
 
 class SelectionEngine:
     """Evaluates candidate selections against assessment metadata."""

@@ -390,10 +390,6 @@ class SharedFrameStore:
         self._cursor = nbytes
         return segment, 0
 
-    @property
-    def num_segments(self) -> int:
-        return len(self._segments)
-
     def drain_stats(self) -> dict[str, int | float]:
         """Return and reset the hit/miss counters; segment totals are
         reported as current state, not deltas."""

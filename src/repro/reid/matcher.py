@@ -24,6 +24,10 @@ from repro.reid.mahalanobis import MahalanobisMetric
 DEFAULT_GROUND_RADIUS_M = 0.9
 DEFAULT_COLOR_THRESHOLD = 3.5
 
+# `CrossCameraMatcher.group` keys grid cell (gx, gy) as gx * _ROW + gy;
+# cells whose keys collide (|gy| >= 2**31) merely share a bucket.
+_ROW = 1 << 32
+
 
 class CrossCameraMatcher:
     """Groups one frame's multi-camera detections into objects."""
@@ -49,8 +53,11 @@ class CrossCameraMatcher:
         """
         if not image_to_ground:
             raise ValueError("need at least one camera homography")
-        if ground_radius <= 0:
-            raise ValueError("ground_radius must be positive")
+        if not (math.isfinite(ground_radius) and ground_radius > 0):
+            raise ValueError(
+                "ground_radius must be positive and finite, "
+                f"got {ground_radius!r}"
+            )
         if use_color and color_metric is not None and not color_metric.is_fitted:
             raise ValueError("color_metric must be fitted before use")
         self.image_to_ground = dict(image_to_ground)
@@ -64,26 +71,56 @@ class CrossCameraMatcher:
         # the unmemoised scalars, computed once — grouping stays
         # bit-identical.  Values keep a strong reference to their
         # detections so the id() keys cannot be recycled.
-        self._point_cache: dict[int, tuple[Detection, np.ndarray]] = {}
+        self._point_cache: dict[
+            int, tuple[Detection, tuple[float, float, tuple[int, ...]]]
+        ] = {}
         self._color_cache: dict[
             tuple[int, int], tuple[Detection, Detection, float]
         ] = {}
         self._reduced_cache: dict[int, tuple[Detection, np.ndarray]] = {}
+        # One shared `_nearby_cells` tuple per 2x2 block, so cached
+        # points in the same block do not each hold four cell keys.
+        self._blocks: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._cache_limit = 200_000
+        # Half the side of `group`'s grid cells; see `_nearby_cells`.
+        self._half_cell = 1.0
+        while self._half_cell / (1 + 2**-40) <= ground_radius:
+            self._half_cell *= 2.0
 
-    def clear_caches(self) -> None:
-        """Drop memoised projections and colour distances."""
-        self._point_cache.clear()
-        self._color_cache.clear()
-        self._reduced_cache.clear()
+    def _nearby_cells(self, x: float, y: float) -> tuple[int, ...]:
+        """Keys of the 2x2 grid cells nearest a ground point, its own
+        cell first; empty if the point is not finite.
 
-    def _cached_point(self, detection: Detection) -> np.ndarray:
+        Cells have side 2 * half, half being the smallest power of two
+        >= 1 above radius * (1 + 2**-40).  These four hold every group
+        the point's gate can accept: sqrt(dx*dx + dy*dy) < radius,
+        built from correctly rounded operations, passes only if the
+        true offset on each axis is below radius * (1 + 2**-50) < half
+        (or too small to square).  x / half is exact (a subnormal
+        quotient is off by < 2**-1074) and cannot overflow, so a point
+        in half-cell hx reaches only half-cells hx - 1 .. hx + 1: its
+        own cell hx >> 1 and the neighbour on that half's side.
+        """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return ()
+        hx = math.floor(x / self._half_cell)
+        hy = math.floor(y / self._half_cell)
+        gx, gy = hx >> 1, hy >> 1
+        nx = gx + 1 if hx & 1 else gx - 1
+        ny = gy + 1 if hy & 1 else gy - 1
+        return (gx * _ROW + gy, nx * _ROW + gy, gx * _ROW + ny, nx * _ROW + ny)
+
+    def _cached_point(
+        self, detection: Detection
+    ) -> tuple[float, float, tuple[int, ...]]:
+        """The detection's ground point and its `_nearby_cells`."""
         key = id(detection)
         hit = self._point_cache.get(key)
         if hit is not None:
             return hit[1]
         if len(self._point_cache) >= self._cache_limit:
             self._point_cache.clear()
+            self._blocks.clear()
         # Single-point fast path: the 3-vector product computes the
         # same values as ground_point()'s apply_homography call without
         # its batching scaffolding (verified bit-identical).
@@ -95,7 +132,10 @@ class CrossCameraMatcher:
             ) from None
         x, y = detection.bbox.bottom_center
         projected = homography.matrix @ np.array([x, y, 1.0])
-        point = projected[:2] / projected[2]
+        w = projected[2]
+        px, py = float(projected[0] / w), float(projected[1] / w)
+        nearby = self._nearby_cells(px, py)
+        point = (px, py, self._blocks.setdefault(nearby, nearby))
         self._point_cache[key] = (detection, point)
         return point
 
@@ -125,23 +165,13 @@ class CrossCameraMatcher:
         value = float(diff @ self.color_metric._precision @ diff)
         return float(np.sqrt(max(0.0, value)))
 
-    def _cached_color_distance(self, a: Detection, b: Detection) -> float:
-        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-        hit = self._color_cache.get(key)
-        if hit is not None:
-            return hit[2]
-        if len(self._color_cache) >= self._cache_limit:
-            self._color_cache.clear()
-        dist = self._color_distance(a, b)
-        self._color_cache[key] = (a, b, dist)
-        return dist
-
     def _color_compatible_cached(
         self, detection: Detection, members: list[Detection]
     ) -> bool:
-        """`_color_compatible` with the cache lookups inlined — the
-        grouping scan calls this tens of thousands of times per
-        selection, so attribute and call overhead matter."""
+        """True if every member is within the colour threshold of the
+        detection, with the per-pair distances memoised — the grouping
+        scan calls this tens of thousands of times per selection, so
+        attribute and call overhead matter."""
         cache = self._color_cache
         threshold = self.color_threshold
         det_id = id(detection)
@@ -174,17 +204,6 @@ class CrossCameraMatcher:
             ) from None
         return homography.apply(np.array(detection.bbox.bottom_center))
 
-    def _color_compatible(
-        self, detection: Detection, group: ObjectGroup
-    ) -> bool:
-        if not self.use_color:
-            return True
-        for member in group.detections:
-            dist = self._cached_color_distance(detection, member)
-            if dist > self.color_threshold:
-                return False
-        return True
-
     def group(self, detections: list[Detection]) -> list[ObjectGroup]:
         """Cluster one frame's detections across cameras.
 
@@ -202,33 +221,45 @@ class CrossCameraMatcher:
         reference's BLAS-backed ``np.linalg.norm`` — so membership can
         differ from the reference only when a distance sits within one
         ulp of the radius or of a competing group's distance.
+
+        Groups are indexed on a ground-plane grid by their centroid's
+        cell, so a detection measures distances only to groups in its
+        own cell and the three nearest it: a superset of those the gate
+        can accept (see :meth:`_nearby_cells`).  A group moves cell
+        when its centroid crosses a cell edge; non-finite points, which
+        no gate accepts, are never indexed.
         """
         groups: list[ObjectGroup] = []
         group_cameras: list[set[str]] = []
         centroids: list[tuple[float, float]] = []
         counts: list[int] = []
+        group_cells: list[tuple[int, ...]] = []  # () or (own cell,)
+        grid: dict[int, list[int]] = {}  # cell key -> group indices
         radius = self.ground_radius
         use_color = self.use_color
+        points = self._point_cache
         for det in sorted(detections, key=lambda d: -d.score):
-            point = self._cached_point(det)
-            px, py = float(point[0]), float(point[1])
+            hit = points.get(id(det))  # `_cached_point`'s hit, inlined
+            px, py, nearby = hit[1] if hit else self._cached_point(det)
             camera = det.camera_id
             # The reference scan accepts strictly-improving distances,
             # so colour-rejected groups never update the best: the
             # winner is the colour-compatible eligible group of
             # minimal (distance, index).  Sorting the gated candidates
             # and taking the first colour pass computes the same
-            # winner with the fewest colour checks.
+            # winner with the fewest colour checks, whatever order the
+            # cells are visited in.
             candidates: list[tuple[float, int]] = []
-            for idx in range(len(groups)):
-                if camera in group_cameras[idx]:
-                    continue
-                cx, cy = centroids[idx]
-                dx = px - cx
-                dy = py - cy
-                dist = math.sqrt(dx * dx + dy * dy)
-                if dist < radius:
-                    candidates.append((dist, idx))
+            for key in nearby:
+                for idx in grid.get(key, ()):
+                    if camera in group_cameras[idx]:
+                        continue
+                    cx, cy = centroids[idx]
+                    dx = px - cx
+                    dy = py - cy
+                    dist = math.sqrt(dx * dx + dy * dy)
+                    if dist < radius:
+                        candidates.append((dist, idx))
             candidates.sort()
             best_group = None
             for _, idx in candidates:
@@ -238,12 +269,15 @@ class CrossCameraMatcher:
                     best_group = idx
                     break
             if best_group is None:
+                if nearby:
+                    grid.setdefault(nearby[0], []).append(len(groups))
                 groups.append(
                     ObjectGroup(detections=[det], ground_point=(px, py))
                 )
                 group_cameras.append({camera})
                 centroids.append((px, py))
                 counts.append(1)
+                group_cells.append(nearby[:1])
             else:
                 group = groups[best_group]
                 count = counts[best_group]
@@ -258,6 +292,14 @@ class CrossCameraMatcher:
                 centroids[best_group] = centroid
                 counts[best_group] = count + 1
                 group.ground_point = centroid
+                # A gated group is indexed; its new centroid may move
+                # cell, or overflow to a non-finite value.
+                cell = self._nearby_cells(*centroid)[:1]
+                if cell != group_cells[best_group]:
+                    grid[group_cells[best_group][0]].remove(best_group)
+                    for key in cell:
+                        grid.setdefault(key, []).append(best_group)
+                    group_cells[best_group] = cell
         return groups
 
     def group_reference(

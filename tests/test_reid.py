@@ -218,6 +218,17 @@ class TestCrossCameraMatcher:
         with pytest.raises(ValueError):
             CrossCameraMatcher({})
 
+    @pytest.mark.parametrize(
+        "radius", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_bad_ground_radius(self, radius):
+        """A NaN radius would pass a bare ``<= 0`` check and silently
+        fail every gate; the error names the offending value."""
+        with pytest.raises(ValueError, match=repr(radius)):
+            CrossCameraMatcher(
+                {"c1": Homography.identity()}, ground_radius=radius
+            )
+
 
 class TestEndToEndReid:
     """Re-identification on the real synthetic dataset (paper: >90%
