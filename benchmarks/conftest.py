@@ -1,11 +1,12 @@
-"""Shared benchmark fixtures: offline-trained runners per dataset."""
+"""Shared benchmark fixtures: engines over each dataset's shared
+offline-trained context."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.experiments.harness import get_runner
+from repro.engine import DeploymentEngine, shared_context
 
 
 @pytest.fixture()
@@ -15,14 +16,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def runner_ds1():
-    return get_runner(1)
+    return DeploymentEngine(shared_context(1))
 
 
 @pytest.fixture(scope="session")
 def runner_ds2():
-    return get_runner(2)
+    return DeploymentEngine(shared_context(2))
 
 
 @pytest.fixture(scope="session")
 def runner_ds3():
-    return get_runner(3)
+    return DeploymentEngine(shared_context(3))

@@ -68,7 +68,7 @@ def main() -> None:
                     "from one pass's per-camera energy draw -- passes "
                     "of the identical window until fewer than 2 "
                     "batteries survive -- matching "
-                    "repro.core.lifetime.simulate_lifetime semantics.  "
+                    "repro.experiments.lifetime.simulate_lifetime semantics.  "
                     "All numbers are deterministic (no wall clock).  "
                     "Regenerate with benchmarks/gen_bench_predictive.py "
                     "(recipe in EXPERIMENTS.md)."

@@ -7,7 +7,7 @@ GFK matching against the training library, algorithm transfer, and
 deployment — first in the lab, then in the cluttered chap room.
 """
 
-from repro.core.adaptive import AdaptiveDeployment
+from repro.experiments.adaptive import AdaptiveDeployment
 from repro.experiments.tables import format_table
 
 

@@ -6,7 +6,7 @@ camera subsets and algorithm downgrades stretch the same batteries
 over more processed frames.
 """
 
-from repro.core.lifetime import lifetime_extension
+from repro.experiments.lifetime import lifetime_extension
 from repro.experiments.tables import format_table
 
 

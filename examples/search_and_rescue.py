@@ -12,23 +12,21 @@ Run:  python examples/search_and_rescue.py
 
 import numpy as np
 
-from repro.core import EECSConfig, SimulationRunner
+from repro.core import EECSConfig
 from repro.datasets import make_dataset
 from repro.energy.battery import Battery
+from repro.engine import DeploymentContext, DeploymentEngine
 from repro.experiments.tables import format_table
-
-
-def run_mission(runner: SimulationRunner, mode: str, budget: float):
-    result = runner.run(mode=mode, budget=budget)
-    return result
 
 
 def main() -> None:
     print("Deploying 4 cameras over the terrace (outdoor, 8 people) ...")
     dataset = make_dataset(3)
     config = EECSConfig(gamma_n=0.85, gamma_p=0.8)
-    runner = SimulationRunner(
-        dataset, config=config, rng=np.random.default_rng(42)
+    engine = DeploymentEngine(
+        DeploymentContext.build(
+            dataset, config=config, rng=np.random.default_rng(42)
+        )
     )
 
     # Mission: 6 hours, one processed frame every 2 seconds, a 2000 J
@@ -45,7 +43,7 @@ def main() -> None:
 
     rows = []
     for mode in ("all_best", "full"):
-        result = run_mission(runner, mode, budget=max(budget, 0.5))
+        result = engine.run(mode, budget=max(budget, 0.5))
         rounds = [d.num_active for d in result.decisions]
         rows.append([
             mode,

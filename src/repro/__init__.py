@@ -12,27 +12,29 @@ measurements, and a discrete-event sensor network.
 
 Quickstart::
 
-    from repro.datasets import make_dataset
-    from repro.core import SimulationRunner
+    from repro import DeploymentContext, DeploymentEngine, make_dataset
 
-    runner = SimulationRunner(make_dataset(1))
-    result = runner.run(mode="full", budget=2.0)
+    context = DeploymentContext.build(make_dataset(1))  # offline training
+    engine = DeploymentEngine(context)
+    result = engine.run("full", budget=2.0)
     print(result.humans_detected, result.energy_joules)
 """
 
 from repro.core.config import EECSConfig
 from repro.core.controller import EECSController, SelectionDecision
-from repro.core.runner import RunResult, SimulationRunner
 from repro.datasets.synthetic import SyntheticDataset, make_dataset
+from repro.engine.context import DeploymentContext
+from repro.engine.core import DeploymentEngine, RunResult
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "DeploymentContext",
+    "DeploymentEngine",
     "EECSConfig",
     "EECSController",
     "SelectionDecision",
     "RunResult",
-    "SimulationRunner",
     "SyntheticDataset",
     "make_dataset",
     "__version__",

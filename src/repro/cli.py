@@ -35,7 +35,8 @@ def _make_telemetry(args: argparse.Namespace):
     the same configuration produce byte-comparable dump files.
     """
     if not (
-        args.metrics_out
+        getattr(args, "perf_report", False)
+        or args.metrics_out
         or args.trace_out
         or args.events_out
         or args.stream_out
@@ -389,15 +390,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         RunCheckpointer,
     )
     from repro.engine.spec import DeploymentSpec
-    from repro.perf.timing import TimingReport
 
     telemetry = _make_telemetry(args)
-    if telemetry is not None:
-        from repro.telemetry.trace import TracingTimingReport
-
-        timing = TracingTimingReport(telemetry.tracer)
-    else:
-        timing = TimingReport()
     config = None
     if (
         args.assessment_period is not None
@@ -442,9 +436,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     checkpointer = (
         RunCheckpointer(checkpoint_config) if checkpoint_config else None
     )
-    engine = spec.build_engine(
-        config=config, telemetry=telemetry, timing=timing
-    )
+    if telemetry is not None:
+        # Times a cache miss's offline training; near zero on a hit.
+        with telemetry.tracer.span("offline_training"):
+            engine = spec.build_engine(config=config, telemetry=telemetry)
+    else:
+        engine = spec.build_engine(config=config)
     exporter = _attach_live(telemetry, args)
     try:
         result = spec.execute(engine=engine, checkpointer=checkpointer)
@@ -476,9 +473,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cameras = [d.num_active for d in result.decisions]
         print(f"cameras/round:   {cameras}")
     if args.perf_report:
+        from repro.obs import render_profile
+
         stats = engine.library.cache_stats()
         print()
-        print(engine.timing.format_report())
+        print(render_profile(list(telemetry.tracer.iter_records())), end="")
         print(
             f"calibration cache: {stats['hits']} hits, "
             f"{stats['misses']} misses, {stats['entries']} entries "
@@ -500,7 +499,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.faults.plan import FaultPlan
 
-    runner = DeploymentEngine(
+    engine = DeploymentEngine(
         shared_context(args.dataset, train_seed=args.seed)
     )
     resilience = _make_resilience_config(args)
@@ -531,7 +530,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             num_frames=args.frames,
             budget=args.budget,
         ),
-        runner,
+        engine,
     )
     # Only the faulty run is instrumented: its metrics are the ones
     # that show loss, retries and re-selection at work.  It is also
@@ -541,7 +540,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         result = run_chaos(
             spec,
-            runner,
+            engine,
             plan=plan,
             telemetry=telemetry,
             checkpoint=checkpoint_config,
@@ -671,7 +670,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core.runner import build_training_library
+    from repro.engine.context import build_training_library
     from repro.datasets.synthetic import make_dataset
     from repro.detection.detectors import make_detector_suite
     from repro.persistence import save_library
@@ -849,7 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--perf-report",
         action="store_true",
-        help="print per-section timings and cache counters after the run",
+        help="print per-phase span timings and cache counters after "
+        "the run",
     )
     p.add_argument(
         "--result-out",

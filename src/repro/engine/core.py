@@ -29,13 +29,15 @@ pluggable:
   frame feed, or the fault-injected discrete-event network).
 
 Telemetry and energy accounting hook the engine's phase boundaries:
-the run/round span tree, phase timing sections and per-camera energy
-metering all live here, once.
+the run/round/phase span tree and per-camera energy metering all live
+here, once.  Phase spans exist only while a
+:class:`~repro.telemetry.core.Telemetry` is attached; without one a
+phase reads no clock.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -73,19 +75,22 @@ from repro.engine.executor import DetectionExecutor, make_executor
 from repro.engine.policy import CoordinationPolicy, resolve_policy
 from repro.faults.events import FaultLog
 from repro.fleet.cells import CellLayout, normalize_cells
-from repro.perf.timing import TimingReport
 from repro.resilience.ladder import (
     ResilienceConfig,
     ResilienceCoordinator,
     build_coordinator,
 )
-from repro.telemetry.trace import TracingTimingReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.hooks import RunCheckpointer
     from repro.engine.environment import Environment
     from repro.fleet.runtime import FleetRuntime
     from repro.telemetry.core import Telemetry
+
+
+#: What :meth:`DeploymentEngine._phase` hands out when no telemetry is
+#: attached (``nullcontext`` is reusable, so one instance serves all).
+_NO_PHASE = nullcontext()
 
 
 @dataclass
@@ -145,7 +150,6 @@ class DeploymentEngine:
         seed: int = 2017,
         rng: np.random.Generator | None = None,
         executor: DetectionExecutor | None = None,
-        timing: TimingReport | None = None,
         telemetry: "Telemetry | None" = None,
         clock: SimulationClock | None = None,
     ) -> None:
@@ -165,13 +169,6 @@ class DeploymentEngine:
         self.clock = clock or SimulationClock(
             seconds_per_frame=self.config.seconds_per_frame
         )
-        if timing is not None:
-            self.timing = timing
-        elif telemetry is not None:
-            # Phase sections double as spans in the telemetry trace.
-            self.timing = TracingTimingReport(telemetry.tracer)
-        else:
-            self.timing = TimingReport()
         self.executor = executor or make_executor(1)
         self._active_executor = self.executor
         self._latency_seconds = 0.0
@@ -209,6 +206,14 @@ class DeploymentEngine:
         segments).  Safe to call more than once; the serial backend
         makes this a no-op."""
         self.executor.close()
+
+    def _phase(self, name: str):
+        """A span named ``name`` on the telemetry tracer, nested under
+        whatever span is open; without telemetry, a shared no-op that
+        reads no clock and records nothing."""
+        if self.telemetry is None:
+            return _NO_PHASE
+        return self.telemetry.tracer.span(name)
 
     def _instrumented_battery(self, camera_id: str) -> Battery:
         battery = Battery()
@@ -323,12 +328,10 @@ class DeploymentEngine:
                 )
             )
         batch = DetectionBatch(tasks=tuple(tasks))
-        with self.timing.section("detection"):
-            elapsed = time.perf_counter()
+        with self._phase("detection") as span:
             results = self._active_executor.execute(batch, self.detectors)
-            elapsed = time.perf_counter() - elapsed
         if self.telemetry is not None:
-            self._record_batch_metrics(batch, elapsed)
+            self._record_batch_metrics(batch, span.duration_s)
         out: dict[tuple[int, str, str], list[Detection]] = {}
         for (record, camera_id, algorithm), detections in zip(
             requests, results
@@ -489,7 +492,7 @@ class DeploymentEngine:
                 detections.extend(
                     computed[(record.frame_index, camera_id, algorithm)]
                 )
-        with self.timing.section("reid_grouping"):
+        with self._phase("reid_grouping"):
             groups = self.matcher.group(detections)
         present = persons_in_any_view(record.observations)
         probabilities = [g.fused_probability for g in groups]
@@ -735,7 +738,7 @@ class DeploymentEngine:
                     )
                     decisions.append(decision)
                 else:
-                    with self.timing.section("operation"):
+                    with self._phase("operation"):
                         detected, present, probs = self._evaluate_batch(
                             round_plan.records,
                             round_plan.static_assignments,
@@ -847,14 +850,14 @@ class DeploymentEngine:
                 "Assessment/selection rounds executed.",
             ).inc()
         try:
-            with self.timing.section("assessment"):
+            with self._phase("assessment"):
                 assessment = self.collect_assessment(
                     assess_records,
                     budget,
                     meter,
                     skip_cameras=round_plan.skip_cameras,
                 )
-            with self.timing.section("selection"):
+            with self._phase("selection"):
                 decision = policy.select(
                     self, assessment, budget_overrides, meter
                 )
@@ -882,7 +885,7 @@ class DeploymentEngine:
                 present_total += present
                 probabilities.extend(probs)
 
-            with self.timing.section("operation"):
+            with self._phase("operation"):
                 detected, present, probs = self._evaluate_batch(
                     operate_records,
                     [decision.assignment] * len(operate_records),

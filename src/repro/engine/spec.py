@@ -26,7 +26,6 @@ from repro.engine.executor import make_executor, validate_executor_name
 from repro.engine.fleet import fleet_context
 from repro.engine.policy import resolve_policy
 from repro.fleet.cells import validate_cells_value
-from repro.perf.timing import TimingReport
 from repro.resilience.ladder import ResilienceConfig
 
 
@@ -221,7 +220,6 @@ class DeploymentSpec:
         self,
         config: EECSConfig | None = None,
         telemetry=None,
-        timing: TimingReport | None = None,
     ) -> DeploymentEngine:
         """An engine over the shared trained context for this spec."""
         if self.fleet_cameras is not None:
@@ -230,20 +228,17 @@ class DeploymentSpec:
                 base_number=self.dataset_number,
                 config=config,
                 train_seed=self.train_seed,
-                timing=timing,
             )
         else:
             context = shared_context(
                 self.dataset_number,
                 config=config,
                 train_seed=self.train_seed,
-                timing=timing,
             )
         return DeploymentEngine(
             context,
             seed=self.seed,
             executor=make_executor(self.workers, backend=self.executor),
-            timing=timing,
             telemetry=telemetry,
         )
 

@@ -15,7 +15,6 @@ Each module produces the same rows/series the paper reports:
 * :mod:`repro.experiments.fig6` — the same on dataset #2 (Fig. 6).
 """
 
-from repro.experiments.harness import get_runner
 from repro.experiments.tables import format_table
 
-__all__ = ["get_runner", "format_table"]
+__all__ = ["format_table"]

@@ -14,7 +14,7 @@ independent 4-view scenes and overstate the loss).  Both policies run
 the identical window on the identical trained context; lifetime then
 follows analytically from each run's per-camera energy draw, because
 every replayed pass of the same window draws the same Joules (the
-same model :func:`repro.core.lifetime.simulate_lifetime` executes by
+same model :func:`repro.experiments.lifetime.simulate_lifetime` executes by
 brute force — dead cameras stop drawing but passes are otherwise
 identical).
 
@@ -115,7 +115,7 @@ def analytic_lifetime_passes(
     """Passes of an identical window until quorum is lost.
 
     A camera participating in a pass draws its full per-pass cost
-    (matching :func:`repro.core.lifetime.simulate_lifetime`, which
+    (matching :func:`repro.experiments.lifetime.simulate_lifetime`, which
     draws and then marks the battery depleted), so a camera with draw
     ``d`` participates in ``ceil(battery / d)`` passes.  The network
     survives as long as ``min_cameras`` cameras still participate —

@@ -69,6 +69,7 @@ class Telemetry:
         self._detection_frames = None
         self._detection_objects = None
         self._detection_scores = None
+        self._detection_series: dict[tuple[str, str], tuple] = {}
         # Live streaming state: sinks/rules attach after construction,
         # and everything below is untouched until they do, so a run
         # without live observability pays nothing at flush points.
@@ -166,17 +167,29 @@ class Telemetry:
         self, node_id: str, algorithm: str, detections: "list[Detection]"
     ) -> None:
         """Record one detection op's frame count, object count and
-        score distribution."""
-        self.detection_frames_counter().inc(
-            node=node_id, algorithm=algorithm
-        )
-        if detections:
-            self.detection_objects_counter().inc(
-                len(detections), node=node_id, algorithm=algorithm
+        score distribution.
+
+        Called once per (frame, camera, algorithm) op, so each
+        (node, algorithm) pair resolves its three series once and
+        reuses them.
+        """
+        series = self._detection_series.get((node_id, algorithm))
+        if series is None:
+            series = (
+                self.detection_frames_counter().labels(
+                    node=node_id, algorithm=algorithm
+                ),
+                self.detection_objects_counter().labels(
+                    node=node_id, algorithm=algorithm
+                ),
+                self.detection_score_histogram().labels(algorithm=algorithm),
             )
-            score_hist = self.detection_score_histogram()
-            for det in detections:
-                score_hist.observe(det.score, algorithm=algorithm)
+            self._detection_series[(node_id, algorithm)] = series
+        frames, objects, scores = series
+        frames.inc()
+        if detections:
+            objects.inc(len(detections))
+            scores.observe_many([det.score for det in detections])
 
     # ------------------------------------------------------------------
     # Live streaming (see repro.telemetry.live)

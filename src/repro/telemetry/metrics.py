@@ -118,9 +118,29 @@ class Counter(_Instrument):
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
 
+    def labels(self, **labels: object) -> "_CounterChild":
+        """One series with its labels resolved once, for hot loops
+        (the series itself appears on the first ``inc``)."""
+        return _CounterChild(self._values, self._key(labels))
+
     @property
     def series_count(self) -> int:
         return len(self._values)
+
+
+class _CounterChild:
+    """A :class:`Counter` series bound by :meth:`Counter.labels`."""
+
+    __slots__ = ("_values", "_key")
+
+    def __init__(self, values: dict, key: tuple[str, ...]) -> None:
+        self._values = values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise MetricError("counters only go up")
+        self._values[self._key] = self._values.get(self._key, 0.0) + amount
 
 
 class Gauge(_Instrument):
@@ -177,20 +197,28 @@ class Histogram(_Instrument):
         self.buckets = bounds
         self._series: dict[tuple[str, ...], _HistogramSeries] = {}
 
-    def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
+    def _series_at(self, key: tuple[str, ...]) -> _HistogramSeries:
         series = self._series.get(key)
         if series is None:
             series = _HistogramSeries(
                 bucket_counts=[0] * (len(self.buckets) + 1)
             )
             self._series[key] = series
+        return series
+
+    def observe(self, value: float, **labels: object) -> None:
+        series = self._series_at(self._key(labels))
         # First bucket whose bound is >= value; past-the-end lands in
         # the implicit +Inf slot.
         idx = bisect_left(self.buckets, value)
         series.bucket_counts[idx] += 1
         series.count += 1
         series.sum += value
+
+    def labels(self, **labels: object) -> "_HistogramChild":
+        """One series with its labels resolved once, for hot loops
+        (the series itself appears on the first observation)."""
+        return _HistogramChild(self, self._key(labels))
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))
@@ -203,6 +231,32 @@ class Histogram(_Instrument):
     @property
     def series_count(self) -> int:
         return len(self._series)
+
+
+class _HistogramChild:
+    """A :class:`Histogram` series bound by :meth:`Histogram.labels`."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: tuple[str, ...]) -> None:
+        self._histogram = histogram
+        self._key = key
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`Histogram.observe` each value into this series; the
+        sum accumulates in the same order, so the result is
+        bit-identical to one ``observe`` per value."""
+        buckets = self._histogram.buckets
+        series = self._histogram._series_at(self._key)
+        counts = series.bucket_counts
+        total = series.sum
+        observed = 0
+        for value in values:
+            counts[bisect_left(buckets, value)] += 1
+            total += value
+            observed += 1
+        series.count += observed
+        series.sum = total
 
 
 class MetricsRegistry:

@@ -57,10 +57,6 @@ class ObjectView:
     shade: float
     ground_xy: tuple[float, float]
 
-    @property
-    def fully_occluded(self) -> bool:
-        return self.occlusion >= 0.999
-
 
 @dataclass
 class FrameObservation:

@@ -1,5 +1,7 @@
 """Slow-path CLI tests: the deployment and report commands."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -17,6 +19,28 @@ class TestCliDeployment:
         assert "humans detected" in out
         assert "energy" in out
         assert "cameras/round" in out
+
+    def test_run_perf_report(self, capsys):
+        """`--perf-report` prints one row per timed phase plus the
+        calibration-cache counters."""
+        code = main([
+            "run", "--dataset", "1", "--mode", "full",
+            "--start", "1000", "--end", "1300", "--perf-report",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        # A row names its phase as a whitespace- or ';'-separated token
+        # (a span path such as ``run;round;assessment`` counts).
+        tokens = [set(re.split(r"[;\s]+", line)) for line in out.splitlines()]
+        for phase in (
+            "offline_training",
+            "assessment",
+            "selection",
+            "detection",
+            "reid_grouping",
+        ):
+            assert any(phase in row for row in tokens), (phase, out)
+        assert "calibration cache:" in out
 
     def test_fig3_command(self, capsys, runner1, dataset2):
         code = main(["fig3"])

@@ -85,7 +85,7 @@ class TestExecutors:
     def test_serial_execute_matches_run_batch(self, runner1):
         from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
 
-        engine = runner1.engine
+        engine = runner1
         record = engine.dataset.frames(1000, 1001)[0]
         tasks = tuple(
             DetectionTask(
@@ -176,7 +176,7 @@ class TestPolicyRegistry:
 
 class TestRoundPlanning:
     def test_all_best_single_round(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 1300, only_ground_truth=True)
         plans = AllBestPolicy().plan_rounds(engine, records, 2.0, None)
         assert len(plans) == 1
@@ -184,7 +184,7 @@ class TestRoundPlanning:
         assert len(plans[0].static_assignments) == len(records)
 
     def test_subset_partitions_by_recalibration_interval(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         records = engine.dataset.frames(1000, 2500, only_ground_truth=True)
         plans = SubsetPolicy().plan_rounds(engine, records, 2.0, None)
         per_round = engine.gt_frames_per_round
@@ -235,7 +235,7 @@ class TestDeploymentSpec:
 
 class TestEngineSeams:
     def test_ideal_environment_matches_direct_run(self, runner1):
-        engine = runner1.engine
+        engine = runner1
         direct = engine.run("all_best", budget=2.0, start=1000, end=1200)
         deployed = engine.deploy(
             IdealEnvironment(
@@ -260,11 +260,11 @@ class TestEngineSeams:
                 results.reverse()
                 return results
 
-        baseline = runner1.engine.run(
+        baseline = runner1.run(
             "full", budget=2.0, start=1000, end=1300
         )
         swapped = DeploymentEngine(
-            runner1.engine.context, executor=ReversingExecutor()
+            runner1.context, executor=ReversingExecutor()
         ).run("full", budget=2.0, start=1000, end=1300)
         assert vars(swapped) == vars(baseline)
 
@@ -277,13 +277,3 @@ class TestEngineSeams:
         assert shared_context(1, train_seed=2018) is base
         other = shared_context(1, config=EECSConfig(gamma_n=0.9))
         assert other is not base
-
-    def test_facade_library_assignment_reaches_engine(self, dataset1):
-        from repro.core.runner import SimulationRunner
-
-        runner = SimulationRunner.__new__(SimulationRunner)
-        runner.workers = 1
-        runner._engine = DeploymentEngine.__new__(DeploymentEngine)
-        runner._engine.library = "old"
-        runner.library = "new"
-        assert runner._engine.library == "new"

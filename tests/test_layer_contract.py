@@ -24,6 +24,10 @@ SRC = Path(__file__).parent.parent / "src"
 #: package -> packages it must never import (even under TYPE_CHECKING:
 #: a type-only upward dependency is still an upward dependency).
 CONTRACTS = {
+    # The paper's controller math sits below the engine that drives
+    # it: whole-deployment drivers (lifetime, adaptive) live in
+    # repro.experiments.
+    "repro.core": ("repro.engine", "repro.experiments", "repro.cli"),
     "repro.engine": ("repro.experiments", "repro.cli"),
     # The layers below the engine must not reach up into it either.
     "repro.datasets": ("repro.engine", "repro.experiments", "repro.cli"),

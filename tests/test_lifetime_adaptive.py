@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.lifetime import lifetime_extension, simulate_lifetime
+from repro.experiments.lifetime import lifetime_extension, simulate_lifetime
 
 
 class TestLifetime:
@@ -47,7 +47,7 @@ class TestLifetime:
 class TestAdaptiveDeployment:
     @pytest.fixture(scope="class")
     def deployment(self):
-        from repro.core.adaptive import AdaptiveDeployment
+        from repro.experiments.adaptive import AdaptiveDeployment
 
         return AdaptiveDeployment(
             dataset_numbers=(1, 2),
@@ -88,7 +88,7 @@ class TestAdaptiveDeployment:
             deployment.run_phase(3)
 
     def test_needs_two_environments(self):
-        from repro.core.adaptive import AdaptiveDeployment
+        from repro.experiments.adaptive import AdaptiveDeployment
 
         with pytest.raises(ValueError):
             AdaptiveDeployment(dataset_numbers=(1,))

@@ -50,8 +50,8 @@ class TestGenerateReport:
         assert "HOG" in report and "LSVM" in report
 
     def test_fig5a_section_renders(self, runner1):
-        # Dataset #1's trained context is cached by the engine after
-        # the first get_runner call, so this only trains once.
+        # Dataset #1's trained context is cached by the engine's
+        # shared_context after the first call, so this only trains once.
         report = generate_report(sections=("fig5a",))
         assert "Fig. 5a" in report
         assert "all_best" in report

@@ -50,6 +50,38 @@ class TestInstruments:
         assert 'lat_bucket{le="+Inf"} 3' in text
         assert "lat_count 3" in text
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), max_size=20
+        )
+    )
+    def test_bound_series_match_keyword_calls(self, values):
+        """A ``labels()`` handle records exactly what the keyword
+        calls record, histogram sum included (same accumulation
+        order), and creates no series until it is used."""
+        one, bound = MetricsRegistry(), MetricsRegistry()
+        for reg in (one, bound):
+            reg.histogram("s", labels=("k",), buckets=(-1.0, 0.0, 2.0))
+            reg.counter("c_total", labels=("k",))
+        scores = bound.get("s").labels(k="a")
+        total = bound.get("c_total").labels(k="a")
+        unused = bound.get("c_total").labels(k="never")
+        assert bound.series_count() == 0
+        one.get("s").observe(0.5, k="a")
+        scores.observe_many([0.5])
+        for value in values:
+            one.get("s").observe(value, k="a")
+            one.get("c_total").inc(abs(value), k="a")
+        scores.observe_many(values)
+        for value in values:
+            total.inc(abs(value))
+        assert bound.snapshot() == one.snapshot()
+        with pytest.raises(MetricError):
+            unused.inc(-1.0)
+        with pytest.raises(MetricError):
+            bound.get("s").labels(wrong="a")
+
     def test_type_clash_raises(self):
         reg = MetricsRegistry()
         reg.counter("x_total")
