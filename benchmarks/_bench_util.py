@@ -11,6 +11,7 @@ re-implemented per ``test_bench_*`` file.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from typing import Callable
 
@@ -48,6 +49,34 @@ def interleaved_best(n: int, *thunks: Callable[[], float]) -> list[float]:
         for index, thunk in enumerate(thunks):
             times[index].append(thunk())
     return [min(variant) for variant in times]
+
+
+def paired_min_ratio(
+    blocks: int,
+    baseline: Callable[[], float],
+    candidate: Callable[[], float],
+) -> float:
+    """Candidate/baseline cost ratio robust to host-speed phases.
+
+    On a shared host the machine's speed drifts in phases of a second
+    or more, so two minima taken far apart can differ by more than
+    the effect measured.  Each block runs the two variants twice,
+    back to back, in mirrored order (baseline, candidate, candidate,
+    baseline, flipped every other block so no variant owns a slot),
+    and keeps each variant's min-of-2; the result is the median over
+    blocks of the per-block ratio.  Thunks time one run each and
+    return seconds.
+    """
+    ratios = []
+    for block in range(blocks):
+        flipped = block % 2 == 1
+        first, second = (
+            (candidate, baseline) if flipped else (baseline, candidate)
+        )
+        a, b, c, d = first(), second(), second(), first()
+        outer, inner = min(a, d), min(b, c)
+        ratios.append(outer / inner if flipped else inner / outer)
+    return statistics.median(ratios)
 
 
 def assert_floor(value: float, floor: float, label: str) -> None:

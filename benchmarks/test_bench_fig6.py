@@ -6,7 +6,7 @@ downgrade contributes nothing because ACF is already the cheapest.
 """
 
 from repro.experiments.fig5 import accuracy_retention, energy_savings
-from repro.experiments.fig6 import DEFAULT_BUDGET, run_dataset2
+from repro.experiments.fig6 import DEFAULT_BUDGET
 from repro.experiments.tables import format_table
 
 

@@ -60,11 +60,9 @@ def fleet200():
 
 def _run_once(context, policy, end, **kwargs):
     engine = DeploymentEngine(context, seed=2017)
-    elapsed, result = timed(
+    return timed(
         engine.run, policy, budget=2.0, start=START, end=end, **kwargs
     )
-    engine.close()
-    return elapsed, result
 
 
 def test_cell_beats_flat_subset_at_200_cameras(fleet200):

@@ -40,7 +40,6 @@ from repro.detection.base import Detection
 from repro.engine.context import DeploymentContext
 from repro.engine.core import DeploymentEngine
 from repro.engine.fleet import fleet_context
-from repro.engine.executor import DetectionExecutor, make_executor
 from repro.reid.matcher import CrossCameraMatcher
 
 NUM_CAMERAS = 16
@@ -57,21 +56,16 @@ GROUP_FRAMES = 100
 GROUP_MIN_SPEEDUP = env_float("GROUP_MIN_SPEEDUP", 30.0)
 
 
-class ReferencePathExecutor(DetectionExecutor):
+def run_reference_batch(detectors, tasks) -> list[list[Detection]]:
     """The pre-batching per-task path, kept as the honest baseline:
     every task runs the pinned ``detect_reference`` oracle on its own
     coordinate-seeded generator."""
-
-    name = "reference"
-    workers = 1
-
-    def execute(self, batch, detectors) -> list[list[Detection]]:
-        return [
-            detectors[task.algorithm].detect_reference(
-                task.observation, task.make_rng(), task.threshold
-            )
-            for task in batch.tasks
-        ]
+    return [
+        detectors[task.algorithm].detect_reference(
+            task.observation, task.make_rng(), task.threshold
+        )
+        for task in tasks
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +79,9 @@ def scale_context():
     return context
 
 
-def _run_once(context, executor=None) -> tuple[float, object]:
-    engine = DeploymentEngine(context, seed=2017, executor=executor)
-    elapsed, result = timed(
-        engine.run, "full", budget=2.0, start=START, end=END
-    )
-    engine.close()
-    return elapsed, result
+def _run_once(context) -> tuple[float, object]:
+    engine = DeploymentEngine(context, seed=2017)
+    return timed(engine.run, "full", budget=2.0, start=START, end=END)
 
 
 def test_batched_serial_beats_reference_path(scale_context, monkeypatch):
@@ -106,9 +96,10 @@ def test_batched_serial_beats_reference_path(scale_context, monkeypatch):
             patch.setattr(
                 CrossCameraMatcher, "group", CrossCameraMatcher.group_reference
             )
-            elapsed, ref_result = _run_once(
-                scale_context, executor=ReferencePathExecutor()
+            patch.setattr(
+                "repro.engine.core.run_batch", run_reference_batch
             )
+            elapsed, ref_result = _run_once(scale_context)
         best_ref = min(best_ref, elapsed)
     # Same deployment outcome before comparing speed.
     assert fast_result.humans_detected == ref_result.humans_detected
@@ -130,16 +121,6 @@ def test_serial_throughput_floor(scale_context):
         f"16-camera serial rounds/sec (window {START}..{END}, "
         "SCALE_RPS_FLOOR)",
     )
-
-
-def test_backends_match_serial_at_scale(scale_context):
-    """pool and shm reproduce the serial run bit for bit on the
-    16-camera ring — the scale benchmark's correctness oracle."""
-    _, serial = _run_once(scale_context)
-    for backend in ("pool", "shm"):
-        executor = make_executor(2, backend=backend)
-        _, result = _run_once(scale_context, executor=executor)
-        assert vars(result) == vars(serial), backend
 
 
 def test_bench_scale_json_records_acceptance():

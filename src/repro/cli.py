@@ -6,7 +6,7 @@ Usage::
     python -m repro table5 --frames 16 --repeats 2
     python -m repro fig3|fig4|fig5a|fig5b|fig6
     python -m repro run --dataset 1 --mode full --budget 2.0
-    python -m repro run --dataset 1 --workers 4 --perf-report
+    python -m repro run --dataset 1 --perf-report
     python -m repro run --metrics-out m.json --trace-out t.jsonl
     python -m repro run --checkpoint-dir ckpt --result-out result.json
     python -m repro run --checkpoint-dir ckpt --resume
@@ -421,8 +421,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         end=args.end,
         seed=args.seed,
         train_seed=args.seed,
-        workers=args.workers,
-        executor=args.executor,
         resilience=_make_resilience_config(args),
         fleet_cameras=args.fleet_cameras,
         cells=args.cells,
@@ -454,9 +452,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # Release pools and shared-memory segments on every exit path
-        # (/dev/shm leaks otherwise survive the process).
-        engine.close()
         _teardown_live(telemetry, exporter)
     if args.result_out:
         from repro.checkpoint.codec import run_result_to_dict
@@ -813,23 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the config's re-calibration interval (frames); "
         "smaller intervals mean more rounds, hence more checkpoints",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan per-camera detection over N processes "
-        "(identical results for any N; 1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=("serial", "pool", "shm"),
-        default=None,
-        help="detection executor backend: serial (in-process reference), "
-        "pool (persistent process pool) or shm (process pool reading "
-        "frames zero-copy from shared memory); default picks serial "
-        "for --workers 1, pool otherwise — every backend is "
-        "bit-identical",
     )
     p.add_argument(
         "--fleet-cameras",

@@ -1,18 +1,15 @@
 """Batched detection: a round's tasks as one unit of work.
 
-The engine used to fan detection out one closure per (frame, camera,
-algorithm) triple.  A :class:`DetectionBatch` instead carries the
-round's tasks as plain data — each task names its algorithm, its frame
-observation and the seed entropy of its private generator — so an
-executor backend can ship, split and run them however it likes while
-:func:`run_batch` guarantees the semantics: tasks grouped by
-algorithm, results returned in task order, every task seeded from its
-own entropy.
+The engine carries a round's detection work as plain
+:class:`DetectionTask` values — each names its algorithm, its frame
+observation and the seed entropy of its private generator — and
+:func:`run_batch` runs them: tasks grouped by algorithm, results
+returned in task order, every task seeded from its own entropy.
 
 Because each task's generator is a pure function of its (frame,
-camera, algorithm) coordinates, batching changes *where* and *in what
-grouping* tasks run but never *what* they compute: results are
-bit-identical to the one-task-at-a-time path on any backend.
+camera, algorithm) coordinates, batching changes *in what grouping*
+tasks run but never *what* they compute: results are bit-identical to
+the one-task-at-a-time path.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ class DetectionTask:
     Attributes:
         algorithm: Name of the detector to run (a key of the engine's
             detector suite).
-        observation: The frame observation to detect on.  Executors
-            that ship frames through shared memory substitute a
-            lightweight reference here and resolve it worker-side.
+        observation: The frame observation to detect on.
         entropy: Seed entropy of the task's private generator — a pure
             function of the run configuration and the task's (frame,
             camera, algorithm) coordinates, never of execution order.
@@ -52,23 +47,6 @@ class DetectionTask:
     def make_rng(self) -> np.random.Generator:
         """The task's private, coordinate-seeded generator."""
         return np.random.default_rng(list(self.entropy))
-
-
-@dataclass(frozen=True)
-class DetectionBatch:
-    """An ordered collection of detection tasks for one fan-out."""
-
-    tasks: tuple[DetectionTask, ...]
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def by_algorithm(self) -> dict[str, list[int]]:
-        """Task indices grouped by algorithm, in first-seen order."""
-        groups: dict[str, list[int]] = {}
-        for index, task in enumerate(self.tasks):
-            groups.setdefault(task.algorithm, []).append(index)
-        return groups
 
 
 def run_batch(

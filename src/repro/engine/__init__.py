@@ -8,16 +8,13 @@ One simulation core behind every way the repo runs a deployment:
 * :mod:`repro.engine.policy` — pluggable
   :class:`CoordinationPolicy` strategies (all-best, subset, full
   EECS, fixed) with a by-name registry.
-* :mod:`repro.engine.executor` — :class:`DetectionExecutor`
-  backends (serial reference, process pool, zero-copy shared
-  memory), bit-identical by construction.
 * :mod:`repro.engine.environment` — :class:`Environment` seam:
   ideal in-process frame feed vs. the fault-injected network.
 * :mod:`repro.engine.context` — the immutable trained substrate
   (:class:`DeploymentContext`) and the engine-owned
   :func:`shared_context` cache.
 * :mod:`repro.engine.spec` — :class:`DeploymentSpec`, the
-  declarative construction path shared by harness and CLI.
+  declarative construction path shared by experiments and the CLI.
 * :mod:`repro.engine.clock` — :class:`SimulationClock`, explicit
   frame-cadence simulated time.
 
@@ -29,7 +26,6 @@ CI): this package never imports from ``repro.experiments`` or
 from repro.engine.clock import SimulationClock
 from repro.engine.context import (
     DeploymentContext,
-    clear_shared_contexts,
     shared_context,
 )
 from repro.engine.core import DeploymentEngine, RunResult
@@ -37,7 +33,6 @@ from repro.engine.fleet import (
     CellPolicy,
     FullCellPolicy,
     PeerPolicy,
-    clear_fleet_contexts,
     fleet_context,
 )
 from repro.engine.environment import (
@@ -46,16 +41,6 @@ from repro.engine.environment import (
     IdealEnvironment,
     NetworkConditions,
     NetworkOutcome,
-)
-from repro.engine.executor import (
-    EXECUTOR_BACKENDS,
-    DetectionExecutor,
-    ProcessPoolDetectionExecutor,
-    SerialDetectionExecutor,
-    SharedFrameStore,
-    SharedMemoryDetectionExecutor,
-    make_executor,
-    validate_executor_name,
 )
 from repro.engine.predictive import PredictivePolicy
 from repro.engine.policy import (
@@ -79,8 +64,6 @@ __all__ = [
     "DeploymentContext",
     "DeploymentEngine",
     "DeploymentSpec",
-    "DetectionExecutor",
-    "EXECUTOR_BACKENDS",
     "Environment",
     "FaultInjectedEnvironment",
     "FixedAssignmentPolicy",
@@ -91,22 +74,14 @@ __all__ = [
     "PredictivePolicy",
     "NetworkConditions",
     "NetworkOutcome",
-    "ProcessPoolDetectionExecutor",
     "RoundPlan",
     "RunResult",
-    "SerialDetectionExecutor",
-    "SharedFrameStore",
-    "SharedMemoryDetectionExecutor",
     "SimulationClock",
     "SubsetPolicy",
     "available_policies",
-    "clear_fleet_contexts",
-    "clear_shared_contexts",
     "fleet_context",
-    "make_executor",
     "register_policy",
     "resolve_policy",
     "shared_context",
-    "validate_executor_name",
     "validate_policy_name",
 ]

@@ -8,12 +8,10 @@ identical for every run that shares a training seed.  A
 detectors, training library, re-identification matcher, energy model —
 as an immutable unit that any number of engines can share.
 
-:func:`shared_context` is the engine-owned construction cache that
-replaced the old module-level runner cache in
-``repro.experiments.harness``: contexts are safe to share because they
-hold no per-run state (controllers, batteries, meters and rng streams
-are built fresh per engine), so repeated specs can no longer leak
-state across experiments.
+:func:`shared_context` is the engine-owned construction cache:
+contexts are safe to share because they hold no per-run state
+(controllers, batteries, meters and rng streams are built fresh per
+engine), so repeated specs cannot leak state across experiments.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.energy.model import ProcessingEnergyModel
 from repro.reid.mahalanobis import MahalanobisMetric
 from repro.reid.matcher import CrossCameraMatcher
 
-#: Seed base for shared contexts, matching the historical harness
+#: Seed base for shared contexts, matching the historical experiment
 #: convention (dataset N trains from ``2017 + N``).
 DEFAULT_TRAIN_SEED_BASE = 2017
 
@@ -184,8 +182,3 @@ def shared_context(
             rng=np.random.default_rng(train_seed),
         )
     return _CONTEXTS[key]
-
-
-def clear_shared_contexts() -> None:
-    """Testing hook: drop every cached context."""
-    _CONTEXTS.clear()

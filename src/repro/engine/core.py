@@ -17,13 +17,12 @@ pluggable:
   :class:`~repro.engine.policy.CoordinationPolicy` (no mode-string
   branching: a policy plans rounds and turns assessments into
   decisions);
-* **how detection executes** comes from a
-  :class:`~repro.engine.executor.DetectionExecutor`: the engine packs
-  a round's (frame, camera, algorithm) triples into one
-  :class:`~repro.detection.batch.DetectionBatch` and hands it to the
-  backend (serial reference, process pool, or zero-copy shared-memory
-  pool) — bit-identical by construction, because every task seeds its
-  own generator from the run entropy plus its coordinates;
+* **what detection computes** is fixed by the tasks: the engine packs
+  a round's (frame, camera, algorithm) triples into
+  :class:`~repro.detection.batch.DetectionTask` values and runs them
+  in-process through :func:`~repro.detection.batch.run_batch`; every
+  task seeds its own generator from the run entropy plus its
+  coordinates, so grouping and order never change a result;
 * **where the deployment runs** comes from an
   :class:`~repro.engine.environment.Environment` (ideal in-process
   frame feed, or the fault-injected discrete-event network).
@@ -65,13 +64,12 @@ from repro.core.selection import AssessmentData
 from repro.datasets.base import FrameRecord
 from repro.datasets.groundtruth import persons_in_any_view
 from repro.detection.base import Detection
-from repro.detection.batch import DetectionBatch, DetectionTask
+from repro.detection.batch import DetectionTask, run_batch
 from repro.energy.battery import Battery
 from repro.energy.communication import CommunicationEnergyModel
 from repro.energy.meter import EnergyMeter
 from repro.engine.clock import SimulationClock
 from repro.engine.context import DeploymentContext
-from repro.engine.executor import DetectionExecutor, make_executor
 from repro.engine.policy import CoordinationPolicy, resolve_policy
 from repro.faults.events import FaultLog
 from repro.fleet.cells import CellLayout, normalize_cells
@@ -149,7 +147,6 @@ class DeploymentEngine:
         context: DeploymentContext,
         seed: int = 2017,
         rng: np.random.Generator | None = None,
-        executor: DetectionExecutor | None = None,
         telemetry: "Telemetry | None" = None,
         clock: SimulationClock | None = None,
     ) -> None:
@@ -169,8 +166,6 @@ class DeploymentEngine:
         self.clock = clock or SimulationClock(
             seconds_per_frame=self.config.seconds_per_frame
         )
-        self.executor = executor or make_executor(1)
-        self._active_executor = self.executor
         self._latency_seconds = 0.0
         # Per-run resilience coordinator (None = layer off, the inert
         # default); assigned at run start, cleared when the run ends.
@@ -200,12 +195,6 @@ class DeploymentEngine:
             name: index for index, name in enumerate(sorted(self.detectors))
         }
         self._run_entropy: tuple[int, ...] = (seed,)
-
-    def close(self) -> None:
-        """Release the engine's executor backend (pools, shared
-        segments).  Safe to call more than once; the serial backend
-        makes this a no-op."""
-        self.executor.close()
 
     def _phase(self, name: str):
         """A span named ``name`` on the telemetry tracer, nested under
@@ -288,8 +277,8 @@ class DeploymentEngine:
 
         A pure function of the run configuration and the task's
         (frame, camera, algorithm) coordinates — never of execution
-        order — which is what makes any executor backend reproduce the
-        serial run exactly.
+        order — so a task's detections do not depend on which other
+        tasks share its batch.
         """
         return (
             *self._run_entropy,
@@ -305,9 +294,9 @@ class DeploymentEngine:
     ) -> dict[tuple[int, str, str], list[Detection]]:
         """Detect every requested (frame, camera, algorithm) triple.
 
-        Detection itself fans out over the active executor backend;
-        accounting (probability calibration, energy metering, latency)
-        runs serially afterwards in request order.
+        Detection runs as one :func:`run_batch` call; accounting
+        (probability calibration, energy metering, latency) follows in
+        request order.
 
         Returns detections keyed by
         ``(frame_index, camera_id, algorithm)``.
@@ -327,11 +316,10 @@ class DeploymentEngine:
                     threshold=threshold,
                 )
             )
-        batch = DetectionBatch(tasks=tuple(tasks))
         with self._phase("detection") as span:
-            results = self._active_executor.execute(batch, self.detectors)
+            results = run_batch(self.detectors, tasks)
         if self.telemetry is not None:
-            self._record_batch_metrics(batch, span.duration_s)
+            self._record_batch_metrics(len(tasks), span.duration_s)
         out: dict[tuple[int, str, str], list[Detection]] = {}
         for (record, camera_id, algorithm), detections in zip(
             requests, results
@@ -347,8 +335,6 @@ class DeploymentEngine:
                     [det.score for det in detections],
                 )
             if self.telemetry is not None:
-                # Recorded here, in the serial accounting loop, so the
-                # counters are identical for any executor backend.
                 self.telemetry.observe_detections(
                     camera_id, algorithm, detections
                 )
@@ -365,47 +351,21 @@ class DeploymentEngine:
             out[(record.frame_index, camera_id, algorithm)] = detections
         return out
 
-    def _record_batch_metrics(
-        self, batch: DetectionBatch, elapsed: float
-    ) -> None:
-        """Wire one executed batch into the telemetry registry."""
+    def _record_batch_metrics(self, task_count: int, elapsed: float) -> None:
+        """Wire one detection batch into the telemetry registry."""
         registry = self.telemetry.registry
-        backend = self._active_executor.name
         registry.counter(
             "detection_batches_total",
-            "Detection batches handed to the executor.",
-            labels=("backend",),
-        ).inc(backend=backend)
+            "Detection batches run by the engine.",
+        ).inc()
         registry.counter(
             "detection_batch_tasks_total",
             "Detection tasks executed via batches.",
-            labels=("backend",),
-        ).inc(len(batch), backend=backend)
+        ).inc(task_count)
         registry.counter(
             "detection_execute_seconds_total",
-            "Wall-clock seconds spent inside executor.execute().",
-            labels=("backend",),
-        ).inc(elapsed, backend=backend)
-        stats = self._active_executor.drain_stats()
-        if stats:
-            registry.counter(
-                "shm_frame_publishes_total",
-                "Shared-memory frame store lookups.",
-                labels=("outcome",),
-            ).inc(stats.get("shm_hits", 0), outcome="hit")
-            registry.counter(
-                "shm_frame_publishes_total",
-                "Shared-memory frame store lookups.",
-                labels=("outcome",),
-            ).inc(stats.get("shm_misses", 0), outcome="miss")
-            registry.gauge(
-                "shm_segments",
-                "Shared-memory segments currently allocated.",
-            ).set(stats.get("shm_segments", 0))
-            registry.gauge(
-                "shm_published_bytes",
-                "Total frame bytes published to shared memory.",
-            ).set(stats.get("shm_published_bytes", 0))
+            "Wall-clock seconds spent running detection batches.",
+        ).inc(elapsed)
 
     def affordable_algorithms(
         self, camera_id: str, budget: float | None
@@ -574,7 +534,6 @@ class DeploymentEngine:
         assignment: dict[str, str] | None = None,
         start: int | None = None,
         end: int | None = None,
-        workers: int | None = None,
         checkpointer: "RunCheckpointer | None" = None,
         resilience: ResilienceConfig | None = None,
         cells: int | tuple | list | None = None,
@@ -592,17 +551,11 @@ class DeploymentEngine:
                 (``"fixed"``): the static camera -> algorithm map.
             start: First frame (defaults to the test segment start).
             end: One past the last frame (defaults to the dataset end).
-            workers: Override the engine's executor for this run with
-                a worker count.  Any backend yields identical results;
-                ``> 1`` fans detection work over a process pool.
             checkpointer: Crash-safe checkpoint/resume driver.  The
                 run snapshots its full state every ``K`` completed
                 rounds (and on SIGTERM); a resumed run restores the
                 snapshot and skips the completed rounds, finishing
-                bit-identically to an uninterrupted run.  ``workers``
-                is deliberately absent from the checkpoint
-                fingerprint: any backend reproduces the serial run, so
-                a deployment may resume with a different worker count.
+                bit-identically to an uninterrupted run.
             resilience: Graceful-degradation layer configuration
                 (``None`` or ``enabled=False`` keeps the layer off).
                 The ideal feed has no radio and no fault source, so
@@ -625,14 +578,6 @@ class DeploymentEngine:
             if cells is not None
             else None
         )
-        run_executor: DetectionExecutor | None = None
-        if workers is not None:
-            # Per-run override owns its backend: closed when the run
-            # finishes so pools and shared segments never leak.
-            run_executor = make_executor(workers)
-            self._active_executor = run_executor
-        else:
-            self._active_executor = self.executor
 
         # Reseed per run configuration so results are independent of
         # how many runs preceded this one on the shared engine.  The
@@ -788,9 +733,6 @@ class DeploymentEngine:
                 self.telemetry.tracer.end(run_span)
             if checkpointer is not None:
                 checkpointer.finish()
-            if run_executor is not None:
-                run_executor.close()
-                self._active_executor = self.executor
             self._resilience = None
             self._fleet = None
 

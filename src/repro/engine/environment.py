@@ -63,7 +63,6 @@ class IdealEnvironment(Environment):
     assignment: dict[str, str] | None = None
     start: int | None = None
     end: int | None = None
-    workers: int | None = None
 
     def execute(self, engine: DeploymentEngine) -> RunResult:
         return engine.run(
@@ -72,7 +71,6 @@ class IdealEnvironment(Environment):
             assignment=self.assignment,
             start=self.start,
             end=self.end,
-            workers=self.workers,
         )
 
 

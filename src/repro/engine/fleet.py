@@ -264,8 +264,3 @@ def fleet_context(
             energy_model=base.energy_model,
         )
     return _FLEET_CONTEXTS[key]
-
-
-def clear_fleet_contexts() -> None:
-    """Testing hook: drop every cached fleet context."""
-    _FLEET_CONTEXTS.clear()

@@ -1,16 +1,14 @@
 """Declarative deployment specs: one object describes one run.
 
-A :class:`DeploymentSpec` is the single construction path the harness
-and the CLI share: it names the dataset, the coordination policy and
-the run parameters, validates them eagerly (a typo'd policy fails at
-spec construction, not minutes into training), and knows how to build
-the engine that executes it — training through the shared
+A :class:`DeploymentSpec` is the single construction path the
+experiments and the CLI share: it names the dataset, the coordination
+policy and the run parameters, validates them eagerly (a typo'd policy
+fails at spec construction, not minutes into training), and knows how
+to build the engine that executes it — training through the shared
 :func:`~repro.engine.context.shared_context` cache so each dataset is
-trained once per process.
-
-Specs are frozen and picklable, so batches fan out over worker
-processes; every run reseeds from its own configuration inside the
-engine, making serial and parallel execution bit-identical.
+trained once per process.  Every run reseeds from its own
+configuration inside the engine, so a spec's result does not depend on
+what ran before it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from repro.core.config import EECSConfig
 from repro.datasets.synthetic import DATASET_SPECS
 from repro.engine.context import shared_context
 from repro.engine.core import DeploymentEngine, RunResult
-from repro.engine.executor import make_executor, validate_executor_name
 from repro.engine.fleet import fleet_context
 from repro.engine.policy import resolve_policy
 from repro.fleet.cells import validate_cells_value
@@ -45,14 +42,6 @@ class DeploymentSpec:
         seed: Run-entropy seed (feeds every detection task's rng).
         train_seed: Offline-training seed; ``None`` uses the shared
             per-dataset convention (``2017 + dataset_number``).
-        workers: Detection executor backend width (1 = serial).
-        executor: Executor backend name (``"serial"``, ``"pool"`` or
-            ``"shm"``; validated at construction).  ``None`` keeps the
-            historical convention: serial for ``workers == 1``, the
-            process pool otherwise.  Like ``workers``, the backend is
-            absent from the checkpoint fingerprint — every backend
-            reproduces the serial run bit for bit, so a deployment may
-            resume under a different one.
         checkpoint_dir: Directory for crash-safe run checkpoints
             (``None`` disables checkpointing).
         checkpoint_every: Snapshot cadence in completed rounds.
@@ -88,8 +77,6 @@ class DeploymentSpec:
     assignment: tuple[tuple[str, str], ...] | None = None
     seed: int = 2017
     train_seed: int | None = None
-    workers: int = 1
-    executor: str | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
@@ -110,23 +97,6 @@ class DeploymentSpec:
         policy.validate(
             dict(self.assignment) if self.assignment else None
         )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.executor is not None:
-            # Same fail-fast contract as the policy name: an unknown
-            # backend (or an impossible backend/workers pairing) must
-            # surface at spec construction, not after training.
-            validate_executor_name(self.executor)
-            if self.executor == "serial" and self.workers > 1:
-                raise ValueError(
-                    "serial backend runs in-process; workers must be 1, "
-                    f"got {self.workers}"
-                )
-            if self.executor in ("pool", "shm") and self.workers < 2:
-                raise ValueError(
-                    f"{self.executor!r} backend needs workers >= 2, "
-                    f"got {self.workers}"
-                )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -235,12 +205,7 @@ class DeploymentSpec:
                 config=config,
                 train_seed=self.train_seed,
             )
-        return DeploymentEngine(
-            context,
-            seed=self.seed,
-            executor=make_executor(self.workers, backend=self.executor),
-            telemetry=telemetry,
-        )
+        return DeploymentEngine(context, seed=self.seed, telemetry=telemetry)
 
     def execute(
         self,
@@ -255,24 +220,17 @@ class DeploymentSpec:
         the hook tests and the CLI use it to attach a ``crash_after``
         crash-injection config.
         """
-        owns_engine = engine is None
         if engine is None:
             engine = self.build_engine(config=config, telemetry=telemetry)
         if checkpointer is None:
             checkpointer = self.make_checkpointer()
-        try:
-            return engine.run(
-                self._runtime_policy(),
-                budget=self.budget,
-                assignment=dict(self.assignment) if self.assignment else None,
-                start=self.start,
-                end=self.end,
-                checkpointer=checkpointer,
-                resilience=self.resilience,
-                cells=self.cells,
-            )
-        finally:
-            if owns_engine:
-                # A spec-built engine owns its executor backend; close
-                # it so pools and shared segments never outlive the run.
-                engine.close()
+        return engine.run(
+            self._runtime_policy(),
+            budget=self.budget,
+            assignment=dict(self.assignment) if self.assignment else None,
+            start=self.start,
+            end=self.end,
+            checkpointer=checkpointer,
+            resilience=self.resilience,
+            cells=self.cells,
+        )

@@ -7,15 +7,6 @@ anything — EECS's savings come entirely from using fewer cameras
 ~70% of its energy.
 """
 
-from __future__ import annotations
-
-from repro.experiments.fig5 import ModeResult, run_modes
-
 #: Only ACF (0.315 J/frame at 1024x768) fits this budget; HOG, C4 and
 #: LSVM cost 9.86, 5.56 and 25.06 J/frame respectively.
 DEFAULT_BUDGET = 1.0
-
-
-def run_dataset2(budget: float = DEFAULT_BUDGET) -> dict[str, ModeResult]:
-    """The Fig. 6 comparison: three modes on dataset #2."""
-    return run_modes(dataset_number=2, budget=budget)

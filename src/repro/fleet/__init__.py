@@ -34,7 +34,6 @@ from repro.fleet.world import (
     PERSON_ID_STRIDE,
     TILE_PITCH_M,
     TiledFleetDataset,
-    make_fleet_dataset,
     tile_training_library,
     tiled_camera_id,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PeerCameraNode",
     "TILE_PITCH_M",
     "TiledFleetDataset",
-    "make_fleet_dataset",
     "negotiate_activation",
     "normalize_cells",
     "partition_cameras",

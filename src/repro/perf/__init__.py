@@ -1,18 +1,12 @@
-"""Performance layer: content-keyed caching and parallel maps.
+"""Performance layer: content-keyed caching.
 
-The hot paths of the reproduction — frame feature extraction, the
-GFK calibration pipeline, and the per-camera frame loop — share this
-package.  :mod:`repro.perf.cache` memoises expensive array-valued
-computations (PCA subspaces, GFK factors) under content hashes of
-their inputs, and :mod:`repro.perf.parallel` provides the chunked
-process-pool map used by the experiment harness.
+:mod:`repro.perf.cache` memoises expensive array-valued computations
+(PCA subspaces, GFK factors) under content hashes of their inputs.
 """
 
 from repro.perf.cache import ArrayCache, array_token
-from repro.perf.parallel import parallel_map
 
 __all__ = [
     "ArrayCache",
     "array_token",
-    "parallel_map",
 ]

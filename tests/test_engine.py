@@ -10,12 +10,9 @@ from repro.engine import (
     DeploymentSpec,
     FullEECSPolicy,
     IdealEnvironment,
-    ProcessPoolDetectionExecutor,
-    SerialDetectionExecutor,
     SimulationClock,
     SubsetPolicy,
     available_policies,
-    make_executor,
     register_policy,
     resolve_policy,
     validate_policy_name,
@@ -36,86 +33,6 @@ class TestSimulationClock:
         clock.advance_to_frame(100)
         clock.reset()
         assert clock.now_s == 0.0
-
-
-class TestExecutors:
-    def test_make_executor_selects_backend(self):
-        assert isinstance(make_executor(0), SerialDetectionExecutor)
-        assert isinstance(make_executor(1), SerialDetectionExecutor)
-        pool = make_executor(3)
-        assert isinstance(pool, ProcessPoolDetectionExecutor)
-        assert pool.workers == 3
-        pool.close()
-
-    def test_make_executor_by_name(self):
-        from repro.engine import SharedMemoryDetectionExecutor
-
-        assert isinstance(
-            make_executor(1, backend="serial"), SerialDetectionExecutor
-        )
-        pool = make_executor(2, backend="pool")
-        assert isinstance(pool, ProcessPoolDetectionExecutor)
-        pool.close()
-        shm = make_executor(2, backend="shm")
-        assert isinstance(shm, SharedMemoryDetectionExecutor)
-        shm.close()
-
-    def test_unknown_backend_lists_valid_names(self):
-        from repro.engine import EXECUTOR_BACKENDS, validate_executor_name
-
-        with pytest.raises(ValueError) as excinfo:
-            validate_executor_name("threads")
-        message = str(excinfo.value)
-        assert "threads" in message
-        for name in EXECUTOR_BACKENDS:
-            assert name in message
-
-    def test_backend_worker_cross_checks(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_executor(4, backend="serial")
-        with pytest.raises(ValueError, match="workers"):
-            make_executor(1, backend="pool")
-        with pytest.raises(ValueError, match="workers"):
-            make_executor(1, backend="shm")
-
-    def test_pool_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            ProcessPoolDetectionExecutor(1)
-
-    def test_serial_execute_matches_run_batch(self, runner1):
-        from repro.detection.batch import DetectionBatch, DetectionTask, run_batch
-
-        engine = runner1
-        record = engine.dataset.frames(1000, 1001)[0]
-        tasks = tuple(
-            DetectionTask(
-                algorithm=algorithm,
-                observation=record.observation(camera_id),
-                entropy=(2017, record.frame_index, idx),
-                threshold=None,
-            )
-            for idx, (camera_id, algorithm) in enumerate(
-                (c, a)
-                for c in engine.dataset.camera_ids[:2]
-                for a in sorted(engine.detectors)
-            )
-        )
-        batch = DetectionBatch(tasks=tasks)
-        executor = SerialDetectionExecutor()
-        direct = run_batch(engine.detectors, tasks)
-        executed = executor.execute(batch, engine.detectors)
-
-        def signature(results):
-            return [
-                [
-                    (d.bbox, d.camera_id, d.algorithm, d.score,
-                     tuple(d.color_feature))
-                    for d in dets
-                ]
-                for dets in results
-            ]
-
-        assert signature(executed) == signature(direct)
 
 
 class TestPolicyRegistry:
@@ -209,20 +126,6 @@ class TestDeploymentSpec:
             assignment=(("lab-cam1", "HOG"),),
         )
 
-    def test_validates_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            DeploymentSpec(dataset_number=1, workers=0)
-
-    def test_validates_executor_at_construction(self):
-        with pytest.raises(ValueError, match="valid backends are"):
-            DeploymentSpec(dataset_number=1, executor="threads")
-        with pytest.raises(ValueError, match="workers"):
-            DeploymentSpec(dataset_number=1, executor="shm", workers=1)
-        with pytest.raises(ValueError, match="workers"):
-            DeploymentSpec(dataset_number=1, executor="serial", workers=4)
-        DeploymentSpec(dataset_number=1, executor="shm", workers=2)
-        DeploymentSpec(dataset_number=1, executor="serial")
-
     def test_spec_is_hashable_and_picklable(self):
         import pickle
 
@@ -243,30 +146,6 @@ class TestEngineSeams:
             )
         )
         assert vars(deployed) == vars(direct)
-
-    def test_custom_executor_backend_is_bit_identical(self, runner1):
-        """A user-supplied backend slots in without engine changes."""
-
-        from repro.detection.batch import run_batch
-
-        class ReversingExecutor(SerialDetectionExecutor):
-            # Executes back-to-front, returns in order: order-dependence
-            # in the engine would surface as a result drift.
-            def execute(self, batch, detectors):
-                results = [
-                    run_batch(detectors, [task])[0]
-                    for task in reversed(batch.tasks)
-                ]
-                results.reverse()
-                return results
-
-        baseline = runner1.run(
-            "full", budget=2.0, start=1000, end=1300
-        )
-        swapped = DeploymentEngine(
-            runner1.context, executor=ReversingExecutor()
-        ).run("full", budget=2.0, start=1000, end=1300)
-        assert vars(swapped) == vars(baseline)
 
     def test_shared_context_caches_by_config(self):
         from repro.core.config import EECSConfig

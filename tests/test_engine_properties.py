@@ -1,6 +1,6 @@
 """Property-based invariants of the deployment engine.
 
-Whatever the policy/executor/budget combination, a run must satisfy
+Whatever the policy/budget combination, a run must satisfy
 the structural invariants of the paper's evaluation protocol:
 detection counts bounded by ground truth, energy split consistent,
 and the real-time latency accounting
@@ -19,7 +19,6 @@ WINDOW_ENDS = (1050, 1100, 1200)
 
 policies = st.sampled_from(available_policies())
 budgets = st.sampled_from((None, 0.5, 2.0))
-workers = st.sampled_from((1, 2))
 window_ends = st.sampled_from(WINDOW_ENDS)
 
 
@@ -34,7 +33,6 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
 @given(
     policy=policies,
     budget=budgets,
-    n_workers=workers,
     end=window_ends,
     draw_bits=st.integers(min_value=0, max_value=3),
 )
@@ -43,7 +41,7 @@ def make_assignment(engine, draw_bits: int) -> dict[str, str]:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
+def test_run_invariants(runner1, policy, budget, end, draw_bits):
     engine = runner1
     assignment = (
         make_assignment(engine, draw_bits) if policy == "fixed" else None
@@ -56,7 +54,6 @@ def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
         assignment=assignment,
         start=1000,
         end=end,
-        workers=n_workers,
     )
 
     # Detection counts are bounded by ground truth.
@@ -97,16 +94,3 @@ def test_run_invariants(runner1, policy, budget, n_workers, end, draw_bits):
     else:
         assert result.decisions == []
 
-
-@given(policy=policies, end=st.sampled_from((1100, 1200)))
-@settings(max_examples=6, deadline=None)
-def test_serial_and_parallel_backends_agree(runner1, policy, end):
-    """Executor choice is invisible in the result, field for field."""
-    engine = runner1
-    assignment = (
-        make_assignment(engine, 1) if policy == "fixed" else None
-    )
-    kwargs = dict(budget=2.0, assignment=assignment, start=1000, end=end)
-    serial = engine.run(policy, workers=1, **kwargs)
-    parallel = engine.run(policy, workers=2, **kwargs)
-    assert vars(serial) == vars(parallel)

@@ -5,8 +5,7 @@ pre-refactor deployment-loop/``run_chaos`` implementations (see
 ``golden_utils.capture``).  These tests re-run the same configurations
 through the unified deployment engine and compare every ``RunResult``
 / ``ChaosResult`` field — floats by exact equality, since JSON
-round-trips Python doubles exactly — at ``workers=1`` and
-``workers>1``.
+round-trips Python doubles exactly.
 
 If one of these fails, the engine's behaviour has drifted from the
 historical implementation; that is a bug in the change, not in the
@@ -61,15 +60,6 @@ class TestRunGoldens:
         assert fingerprint == run_goldens[name], (
             f"policy {name!r} drifted from the pre-refactor golden"
         )
-
-    @pytest.mark.parametrize("name", ["all_best", "full"])
-    def test_parallel_matches_golden(
-        self, golden_runner, run_goldens, name
-    ):
-        """workers>1 must reproduce the serial (golden) run exactly."""
-        configs = golden_run_configs(golden_runner.dataset.camera_ids)
-        result = golden_runner.run(workers=2, **configs[name])
-        assert normalize(run_result_fingerprint(result)) == run_goldens[name]
 
     def test_every_field_compared(self, golden_runner, run_goldens):
         """The fingerprint covers the whole public RunResult surface."""

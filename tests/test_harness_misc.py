@@ -1,10 +1,9 @@
-"""Tests for the experiment harness and assorted edge behaviour."""
+"""Tests for shared experiment contexts and assorted edge behaviour."""
 
 import pytest
 
 from repro.core.config import EECSConfig
 from repro.engine import DeploymentEngine, shared_context
-from repro.experiments.harness import RunSpec
 
 
 class TestHarness:
@@ -36,18 +35,8 @@ class TestHarness:
     def test_reset_runners_is_gone(self):
         """The deprecated facade shim was removed outright."""
         import repro.experiments as experiments
-        import repro.experiments.harness as harness
 
-        assert not hasattr(harness, "reset_runners")
         assert "reset_runners" not in experiments.__all__
-
-    def test_run_spec_validates_policy_name(self):
-        with pytest.raises(ValueError, match="valid policies are"):
-            RunSpec(dataset_number=1, mode="bestest")
-
-    def test_run_spec_validates_fixed_assignment(self):
-        with pytest.raises(ValueError, match="assignment"):
-            RunSpec(dataset_number=1, mode="fixed")
 
 
 class TestCameraFailureHandling:

@@ -1,15 +1,13 @@
-"""Parallel execution must reproduce serial results exactly.
+"""Run determinism and per-task seeding.
 
 Every detection task seeds its own generator from the run entropy plus
-its (frame, camera, algorithm) coordinates, so the worker fan-out is
-order-independent by construction; these tests pin that guarantee.
+its (frame, camera, algorithm) coordinates, so results never depend on
+execution order; these tests pin that guarantee.
 """
 
 import numpy as np
-import pytest
 
 from repro.engine import DeploymentEngine
-from repro.experiments.harness import RunSpec, run_specs
 from repro.telemetry import Telemetry
 
 
@@ -28,29 +26,6 @@ def _fingerprint(result):
 
 
 class TestRunnerWorkers:
-    @pytest.mark.parametrize("mode", ["full", "all_best"])
-    def test_workers_match_serial(self, runner1, mode):
-        serial = runner1.run(mode, budget=2.0, start=1000, end=1300)
-        parallel = runner1.run(
-            mode, budget=2.0, start=1000, end=1300, workers=2
-        )
-        assert _fingerprint(parallel) == _fingerprint(serial)
-
-    def test_fixed_mode_workers_match_serial(self, runner1):
-        cameras = runner1.dataset.camera_ids[:2]
-        assignment = {camera_id: "HOG" for camera_id in cameras}
-        serial = runner1.run(
-            "fixed", assignment=assignment, start=1000, end=1300
-        )
-        parallel = runner1.run(
-            "fixed",
-            assignment=assignment,
-            start=1000,
-            end=1300,
-            workers=3,
-        )
-        assert _fingerprint(parallel) == _fingerprint(serial)
-
     def test_repeated_serial_runs_stable(self, runner1):
         a = runner1.run("full", budget=2.0, start=1000, end=1300)
         b = runner1.run("full", budget=2.0, start=1000, end=1300)
@@ -66,43 +41,6 @@ class TestRunnerWorkers:
         assert detection
         assert any(s.name == "selection" for s in spans)
         assert sum(s.duration_s for s in detection) > 0.0
-
-
-class TestHarnessWorkers:
-    def test_run_specs_parallel_matches_serial(self):
-        specs = [
-            RunSpec(
-                dataset_number=1,
-                mode="full",
-                budget=2.0,
-                start=1000,
-                end=1300,
-            ),
-            RunSpec(
-                dataset_number=1,
-                mode="all_best",
-                budget=2.0,
-                start=1000,
-                end=1300,
-            ),
-        ]
-        serial = run_specs(specs, workers=1)
-        parallel = run_specs(specs, workers=2)
-        assert [r.mode for r in serial] == ["full", "all_best"]
-        for a, b in zip(serial, parallel):
-            assert _fingerprint(a) == _fingerprint(b)
-
-    def test_fixed_spec_assignment_roundtrip(self):
-        spec = RunSpec(
-            dataset_number=1,
-            mode="fixed",
-            start=1000,
-            end=1200,
-            assignment=(("lab-cam1", "HOG"),),
-        )
-        results = run_specs([spec], workers=1)
-        assert len(results) == 1
-        assert results[0].mode == "fixed"
 
 
 class TestPerCameraDeterminism:
